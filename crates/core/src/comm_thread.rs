@@ -82,7 +82,8 @@ use crate::rank::RankMap;
 /// fabric's delivery notifier rings the work queue whenever an inter-node
 /// message lands, so the comm thread is woken *by event* for both local
 /// requests and substrate traffic.  The timeout only caps how stale the loop
-/// can get if a wake is somehow missed.
+/// can get if a wake is somehow missed, and `comm.idle_fallback_wakes`
+/// counts each time it had to.
 const IDLE_FALLBACK: Duration = Duration::from_millis(1);
 
 /// A DCGN point-to-point message that arrived from another node (or was
@@ -826,6 +827,11 @@ struct CommThreadMetrics {
     pending_recvs: Gauge,
     /// `comm.matcher.unexpected_msgs.node{N}` — messages queued unmatched.
     unexpected_msgs: Gauge,
+    /// `comm.idle_fallback_wakes.node{N}` — idle waits that ran out
+    /// [`IDLE_FALLBACK`] while a fabric delivery sat in the endpoint with no
+    /// `Wake` queued behind it: each one is a lost event wake that only the
+    /// fallback caught (see `CommThread::run`).
+    idle_fallback_wakes: Counter,
     /// `exchange.plan.{star,tree,recursive-doubling,ring}.node{N}` —
     /// exchanges started under each plan.
     plan_star: Counter,
@@ -854,6 +860,7 @@ impl CommThreadMetrics {
             queue_depth: gauge("comm.queue_depth"),
             pending_recvs: gauge("comm.matcher.pending_recvs"),
             unexpected_msgs: gauge("comm.matcher.unexpected_msgs"),
+            idle_fallback_wakes: counter("comm.idle_fallback_wakes"),
             plan_star: counter("exchange.plan.star"),
             plan_tree: counter("exchange.plan.tree"),
             plan_rd: counter("exchange.plan.recursive-doubling"),
@@ -1068,7 +1075,22 @@ impl CommThread {
                         self.handle_command(cmd)?;
                         did_work = true;
                     }
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
+                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                        // The work queue was empty when the wait gave up.
+                        // A delivery whose notifier has run but whose `Wake`
+                        // is not queued was missed by the event path: only
+                        // this fallback caught it, so count it instead of
+                        // hiding a 1 ms stall.  Deliveries still between
+                        // their push and their notifier (a benign race with
+                        // a paused sender) are not reported as announced,
+                        // and the queue is checked after the endpoint so a
+                        // `Wake` rung meanwhile is seen.  Commands cannot be
+                        // missed this way: a late one is returned by the
+                        // wait itself.
+                        if self.comm.announced_deliveries() > 0 && self.work_rx.is_empty() {
+                            self.metrics.idle_fallback_wakes.inc();
+                        }
+                    }
                     Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
                         // The runtime dropped its handles; treat it as a
                         // shutdown signal so panicked launches still unwind.

@@ -409,7 +409,8 @@ impl CpuCtx {
                 }
             }
         }
-        let deadline = Instant::now() + self.request_timeout;
+        // A timeout too large to represent (e.g. `Duration::MAX`) means none.
+        let deadline = Instant::now().checked_add(self.request_timeout);
         loop {
             // Read the completion counter *before* sweeping: a completion
             // that lands mid-sweep bumps the counter past `seen`, so the
@@ -420,8 +421,11 @@ impl CpuCtx {
                     return Ok((i, done));
                 }
             }
-            let now = Instant::now();
-            if now >= deadline {
+            let remaining = match deadline {
+                None => Duration::MAX,
+                Some(d) => d.saturating_duration_since(Instant::now()),
+            };
+            if remaining.is_zero() {
                 return Err(DcgnError::Internal(format!(
                     "rank {} timed out in waitany over {} requests",
                     self.rank,
@@ -430,7 +434,6 @@ impl CpuCtx {
             }
             // No completion yet: sleep until the comm thread signals one
             // (bounded so a missed edge degrades to a periodic re-sweep).
-            let remaining = deadline - now;
             self.completion
                 .wait_past(seen, remaining.min(Duration::from_millis(1)));
         }

@@ -1356,8 +1356,9 @@ impl PendingSlotOp {
     }
 
     /// Block until every outstanding reply has arrived or `deadline` passes.
-    /// A real block (condition-variable wait, no CPU burn); whatever arrived
-    /// is collected, the rest is picked up by a later poll.
+    /// A real block (a brief backoff, then a park on the reply channel, not
+    /// a poll loop); whatever arrived is collected, the rest is picked up by
+    /// a later poll.
     fn wait_until(&mut self, deadline: Instant) {
         while let Some(rx) = self.reply_rxs.first() {
             let timeout = deadline.saturating_duration_since(Instant::now());
@@ -2039,8 +2040,8 @@ impl GpuKernelThread {
                 dcgn_simtime::precise_sleep(interval);
             } else {
                 // Requests are in flight with the comm thread: block on a
-                // reply channel (a true wait, not a spin) so completions are
-                // written back as soon as replies land — the real GPU-kernel
+                // reply channel (a true wait, not a poll loop) so completions
+                // are written back as soon as replies land — the real GPU-kernel
                 // thread handles a picked-up request synchronously — while
                 // still sweeping for newly published requests at least once
                 // per base interval.
@@ -2049,6 +2050,11 @@ impl GpuKernelThread {
                     op.wait_until(deadline);
                 }
             }
+            // Sample retirement *before* sweeping: a kernel that publishes a
+            // split-protocol request and retires between a sweep and a later
+            // check would otherwise look finished with nothing pending, and
+            // its request would be silently dropped.
+            let retired = handle.is_done();
             let sweep_start = Instant::now();
             self.metrics.polls.inc();
             let did_work = self.sweep(&mut pending)?;
@@ -2061,7 +2067,7 @@ impl GpuKernelThread {
                 base
             };
 
-            if handle.is_done() {
+            if retired {
                 if pending.is_empty() {
                     if !did_work {
                         break;

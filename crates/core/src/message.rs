@@ -8,6 +8,8 @@
 //! headroom so the body bytes are written once and never copied again on
 //! their way to the wire.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crossbeam::channel::Sender;
 use dcgn_rmpi::{ReduceDtype, ReduceOp};
 
@@ -190,49 +192,70 @@ pub(crate) enum CommCommand {
 /// The comm thread bumps the counter after every loop iteration that did
 /// work (every iteration that can have sent a reply).  A kernel thread
 /// waiting for *any* of several requests reads the counter, tests its
-/// handles, and — finding none complete — sleeps until the counter moves
+/// handles, and — finding none complete — waits until the counter moves
 /// past the value it read.  Because every reply strictly precedes the bump
 /// that advertises it, a completion that races the test is caught either by
 /// the test itself or by the immediately-satisfied wait: no lost wakeups,
 /// and no fixed polling interval on the wait path.
+///
+/// The wait hands off like the work and reply channels do (see the
+/// vendored `crossbeam` channel): it yields and re-reads the counter a few
+/// times before parking, and a bump notifies only when a waiter is parked.
 pub(crate) struct CompletionEvent {
-    tick: std::sync::Mutex<u64>,
+    tick: AtomicU64,
+    /// Waiters parked on `cond`.
+    parked: std::sync::Mutex<usize>,
     cond: std::sync::Condvar,
 }
+
+/// Yields before a [`CompletionEvent`] waiter parks; the same count the
+/// vendored channel uses (crossbeam-utils' `Backoff` yield steps).
+const YIELDS_BEFORE_PARK: u32 = 4;
 
 impl CompletionEvent {
     pub(crate) fn new() -> Self {
         CompletionEvent {
-            tick: std::sync::Mutex::new(0),
+            tick: AtomicU64::new(0),
+            parked: std::sync::Mutex::new(0),
             cond: std::sync::Condvar::new(),
         }
     }
 
     /// Current counter value; pass it to [`CompletionEvent::wait_past`].
     pub(crate) fn tick(&self) -> u64 {
-        *self.tick.lock().expect("completion tick poisoned")
+        self.tick.load(Ordering::SeqCst)
     }
 
-    /// Advance the counter and wake every waiter.
+    /// Advance the counter and wake every parked waiter.
     pub(crate) fn bump(&self) {
-        let mut t = self.tick.lock().expect("completion tick poisoned");
-        *t += 1;
-        self.cond.notify_all();
+        self.tick.fetch_add(1, Ordering::SeqCst);
+        // A waiter counts itself under this lock and re-reads the tick
+        // before parking, so it either sees this bump or is counted here.
+        if *self.parked.lock().expect("completion event poisoned") > 0 {
+            self.cond.notify_all();
+        }
     }
 
-    /// Block until the counter moves past `seen` or `timeout` elapses.
+    /// Wait until the counter moves past `seen` or `timeout` elapses.
     pub(crate) fn wait_past(&self, seen: u64, timeout: std::time::Duration) {
-        let mut t = self.tick.lock().expect("completion tick poisoned");
-        while *t <= seen {
-            let (guard, result) = self
-                .cond
-                .wait_timeout(t, timeout)
-                .expect("completion tick poisoned");
-            t = guard;
-            if result.timed_out() {
-                break;
+        for _ in 0..YIELDS_BEFORE_PARK {
+            if self.tick() > seen {
+                return;
             }
+            std::thread::yield_now();
         }
+        let mut parked = self.parked.lock().expect("completion event poisoned");
+        *parked += 1;
+        if self.tick() <= seen {
+            // One timed park: any return (bump, timeout or spurious) sends
+            // the caller back to re-test its handles.
+            parked = self
+                .cond
+                .wait_timeout(parked, timeout)
+                .expect("completion event poisoned")
+                .0;
+        }
+        *parked -= 1;
     }
 }
 

@@ -327,3 +327,34 @@ fn many_messages_between_many_ranks() {
         })
         .unwrap();
 }
+
+#[test]
+fn maximal_request_timeout_means_no_timeout() {
+    // `Duration::MAX` cannot be added to an instant; it must read as "wait
+    // without a deadline", not overflow, on blocking, `wait` and `waitany`.
+    let mut runtime = cpu_only(2, 1);
+    runtime.set_request_timeout(std::time::Duration::MAX);
+    let done = Arc::new(AtomicUsize::new(0));
+    let done2 = Arc::clone(&done);
+    runtime
+        .launch_cpu_only(move |ctx| {
+            let peer = 1 - ctx.rank();
+            if ctx.rank() == 0 {
+                ctx.send(peer, b"ping").unwrap();
+                let (pong, _) = ctx.recv(peer).unwrap();
+                assert_eq!(pong, b"pong");
+            } else {
+                let (ping, _) = ctx.recv(peer).unwrap();
+                assert_eq!(ping, b"ping");
+                ctx.send(peer, b"pong").unwrap();
+            }
+            let recv = ctx.irecv(peer).unwrap();
+            let send = ctx.isend(peer, &[ctx.rank() as u8]).unwrap();
+            let (_, first) = ctx.waitany(&[recv, send]).unwrap();
+            let rest = if first.is_send() { recv } else { send };
+            ctx.wait(rest).unwrap();
+            done2.fetch_add(1, Ordering::SeqCst);
+        })
+        .unwrap();
+    assert_eq!(done.load(Ordering::SeqCst), 2);
+}

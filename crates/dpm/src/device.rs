@@ -140,9 +140,13 @@ impl KernelHandle {
     }
 
     /// Like [`wait`](Self::wait) but gives up after `timeout`.
-    /// Returns `true` when the kernel finished within the timeout.
+    /// Returns `true` when the kernel finished within the timeout.  A
+    /// timeout too large to represent (e.g. `Duration::MAX`) means none.
     pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
+        let Some(deadline) = std::time::Instant::now().checked_add(timeout) else {
+            let _ = self.wait();
+            return true;
+        };
         let mut remaining = self.state.remaining.lock();
         while *remaining > 0 {
             if self
@@ -636,6 +640,14 @@ mod tests {
         dev.write_u32(flag, 1).unwrap();
         assert!(handle.wait_timeout(Duration::from_secs(5)));
         handle.wait().unwrap();
+    }
+
+    #[test]
+    fn maximal_wait_timeout_means_no_timeout() {
+        let dev = Device::new(0, DeviceConfig::default(), CostModel::zero());
+        let handle = dev.launch(1, 1, |_| std::thread::sleep(Duration::from_millis(20)));
+        assert!(handle.wait_timeout(Duration::MAX));
+        assert!(handle.is_done());
     }
 
     #[test]

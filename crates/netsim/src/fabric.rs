@@ -1,7 +1,7 @@
 //! The message fabric: endpoints, delivery, and the cost-charging send path.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -88,6 +88,9 @@ struct EndpointEntry<T> {
     node: usize,
     tx: Sender<Delivery<T>>,
     notify: Option<WakeNotifier>,
+    /// Deliveries to this endpoint between their push and the end of their
+    /// notifier (shared with the [`Endpoint`]).
+    in_flight: Arc<AtomicUsize>,
 }
 
 struct FabricInner<T> {
@@ -176,12 +179,14 @@ impl<T: Send + 'static> Fabric<T> {
         );
         let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst) as usize;
         let (tx, rx) = unbounded();
+        let in_flight = Arc::new(AtomicUsize::new(0));
         self.inner.endpoints.write().insert(
             id,
             EndpointEntry {
                 node,
                 tx,
                 notify: None,
+                in_flight: Arc::clone(&in_flight),
             },
         );
         Endpoint {
@@ -190,6 +195,7 @@ impl<T: Send + 'static> Fabric<T> {
             fabric: self.clone(),
             rx,
             stats: Arc::new(TrafficStats::default()),
+            in_flight,
         }
     }
 
@@ -208,10 +214,15 @@ impl<T: Send + 'static> Fabric<T> {
     ) -> Result<(), RecvError> {
         // Look up the destination first so that cost is not charged for a
         // send that can never be delivered.
-        let (dst_node, tx, notify) = {
+        let (dst_node, tx, notify, in_flight) = {
             let endpoints = self.inner.endpoints.read();
             let entry = endpoints.get(&dst.0).ok_or(RecvError::Disconnected)?;
-            (entry.node, entry.tx.clone(), entry.notify.clone())
+            (
+                entry.node,
+                entry.tx.clone(),
+                entry.notify.clone(),
+                Arc::clone(&entry.in_flight),
+            )
         };
         self.inner.frames.inc();
         self.inner.frame_bytes.add(wire_bytes as u64);
@@ -223,16 +234,20 @@ impl<T: Send + 'static> Fabric<T> {
             // full wire time (store-and-forward model).
             self.inner.nics[src_node].transfer(wire_bytes);
         }
-        tx.send(Delivery {
+        // Counted from before the push until the notifier returns, so
+        // `Endpoint::queued_announced` never reports a message whose
+        // notifier has not run yet.
+        in_flight.fetch_add(1, Ordering::SeqCst);
+        let sent = tx.send(Delivery {
             src,
             wire_bytes,
             msg,
-        })
-        .map_err(|_| RecvError::Disconnected)?;
-        if let Some(notify) = notify {
+        });
+        if let (Ok(()), Some(notify)) = (&sent, notify) {
             notify();
         }
-        Ok(())
+        in_flight.fetch_sub(1, Ordering::SeqCst);
+        sent.map_err(|_| RecvError::Disconnected)
     }
 
     /// Charge the receive-drain stage of `node` for `bytes` (bandwidth-only,
@@ -271,6 +286,7 @@ pub struct Endpoint<T> {
     fabric: Fabric<T>,
     rx: Receiver<Delivery<T>>,
     stats: Arc<TrafficStats>,
+    in_flight: Arc<AtomicUsize>,
 }
 
 impl<T: Send + 'static> Endpoint<T> {
@@ -337,6 +353,22 @@ impl<T: Send + 'static> Endpoint<T> {
             }
             Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
             Err(RecvTimeoutError::Disconnected) => Err(RecvError::Disconnected),
+        }
+    }
+
+    /// Number of messages queued on this endpoint whose delivery notifier
+    /// has already run; 0 while any delivery to it is still between its
+    /// push and the end of its notifier.  A receiver that also watches the
+    /// notifier's target can so tell a lost notification from one that is
+    /// merely in flight.
+    pub fn queued_announced(&self) -> usize {
+        // Read the queue first: a delivery it shows either still counts as
+        // in flight below, or has finished its notifier.
+        let queued = self.rx.len();
+        if self.in_flight.load(Ordering::SeqCst) > 0 {
+            0
+        } else {
+            queued
         }
     }
 
@@ -489,6 +521,31 @@ mod tests {
         assert_eq!(rings.load(Ordering::SeqCst), 2);
         assert_eq!(b.recv().unwrap().msg, 1);
         assert_eq!(b.recv().unwrap().msg, 2);
+    }
+
+    #[test]
+    fn queued_messages_count_as_announced_only_after_their_notifier() {
+        let fabric: Fabric<u32> = Fabric::new(1, CostModel::zero());
+        let a = fabric.attach(0);
+        let b = fabric.attach(0);
+        // The notifier reports that it runs, then blocks until released, so
+        // the delivery is held between its push and the end of its notifier.
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = std::sync::Mutex::new(release_rx);
+        b.set_notifier(Arc::new(move || {
+            entered_tx.send(()).unwrap();
+            release_rx.lock().unwrap().recv().unwrap();
+        }));
+        let b_id = b.id();
+        let sender = std::thread::spawn(move || a.send(b_id, 7, 4).unwrap());
+        entered_rx.recv().unwrap();
+        assert_eq!(b.queued_announced(), 0, "mid-delivery message reported");
+        release_tx.send(()).unwrap();
+        sender.join().unwrap();
+        assert_eq!(b.queued_announced(), 1);
+        assert_eq!(b.recv().unwrap().msg, 7);
+        assert_eq!(b.queued_announced(), 0);
     }
 
     #[test]

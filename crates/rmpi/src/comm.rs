@@ -272,6 +272,13 @@ impl Communicator {
         self.endpoint.set_notifier(notify);
     }
 
+    /// Number of frames delivered to this rank's fabric endpoint, with
+    /// their wake notifier already run, that the engine has not pulled in
+    /// yet (see [`dcgn_netsim::Endpoint::queued_announced`]).
+    pub fn announced_deliveries(&self) -> usize {
+        self.endpoint.queued_announced()
+    }
+
     // ------------------------------------------------------------------
     // Nonblocking API
     // ------------------------------------------------------------------
@@ -1040,17 +1047,21 @@ impl Communicator {
                 return Err(RmpiError::UnknownRequest);
             }
         }
-        let deadline = Instant::now() + self.progress_timeout;
+        // A timeout too large to represent (e.g. `Duration::MAX`) means none.
+        let deadline = Instant::now().checked_add(self.progress_timeout);
         loop {
             self.progress_pass()?;
             if targets.iter().all(|&t| self.is_complete(t)) {
                 return Ok(());
             }
-            let now = Instant::now();
-            if now >= deadline {
+            let remaining = match deadline {
+                None => Duration::MAX,
+                Some(d) => d.saturating_duration_since(Instant::now()),
+            };
+            if remaining.is_zero() {
                 return Err(RmpiError::Stalled(what));
             }
-            let wait = (deadline - now).min(Duration::from_millis(50));
+            let wait = remaining.min(Duration::from_millis(50));
             match self.endpoint.recv_timeout(wait) {
                 Ok(d) => self.classify(d),
                 Err(dcgn_netsim::RecvError::Timeout) => {}

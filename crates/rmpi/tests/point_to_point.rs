@@ -268,6 +268,25 @@ fn unmatched_recv_times_out_as_stall() {
 }
 
 #[test]
+fn maximal_progress_timeout_means_no_timeout() {
+    // `Duration::MAX` cannot be added to an instant: it must mean "no
+    // deadline", not overflow.
+    let mut comms = two_ranks();
+    let mut r1 = comms.pop().unwrap();
+    let mut r0 = comms.pop().unwrap();
+    r0.set_progress_timeout(Duration::MAX);
+    let sender = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(20));
+        r1.send(0, 3, b"late").unwrap();
+        r1
+    });
+    let (data, status) = r0.recv(Some(1), Some(3)).unwrap();
+    assert_eq!(data, b"late");
+    assert_eq!(status.source, 1);
+    drop(sender.join().unwrap());
+}
+
+#[test]
 fn unknown_request_is_an_error() {
     let mut comms = two_ranks();
     let mut r0 = comms.remove(0);

@@ -192,3 +192,90 @@ fn dcgn_metrics_env_file_parses() {
     );
     let _ = std::fs::remove_file(&path);
 }
+
+/// Every `comm.idle_fallback_wakes.node{N}` counter must be registered and
+/// read 0: a fabric delivery still waiting, with no `Wake` queued, when the
+/// comm thread's 1 ms idle fallback fired means an event wake was lost.
+fn assert_no_fallback_wakes(snap: &MetricsSnapshot, nodes: usize) {
+    for node in 0..nodes {
+        let name = format!("comm.idle_fallback_wakes.node{node}");
+        assert_eq!(
+            snap.counters.get(&name),
+            Some(&0),
+            "{name} missing or nonzero: {snap:?}"
+        );
+    }
+}
+
+/// A 2-node ping-pong burst, with pauses long enough for both comm threads
+/// to run out their idle fallback between bursts, must be woken by event
+/// every time.
+#[test]
+fn ping_pong_burst_needs_no_fallback_wakes() {
+    let metrics = MetricsHandle::new();
+    let config = DcgnConfig::homogeneous(2, 1, 0, 0).with_metrics(metrics.clone());
+    let mut runtime = Runtime::new(config).unwrap();
+    runtime.set_request_timeout(Duration::from_secs(20));
+    runtime
+        .launch_cpu_only(|ctx| {
+            let peer = 1 - ctx.rank();
+            for i in 0..300u32 {
+                if i % 50 == 0 {
+                    std::thread::sleep(Duration::from_millis(3));
+                }
+                let len = if i % 16 == 15 { 300_000 } else { 64 };
+                if ctx.rank() == 0 {
+                    ctx.send(peer, &vec![i as u8; len]).unwrap();
+                    let (pong, _) = ctx.recv(peer).unwrap();
+                    assert_eq!(pong.len(), len);
+                } else {
+                    let (ping, _) = ctx.recv(peer).unwrap();
+                    ctx.send(peer, &ping).unwrap();
+                }
+            }
+        })
+        .unwrap();
+    assert_no_fallback_wakes(&metrics.snapshot(), 2);
+}
+
+/// A 6-node mix of world and subgroup collectives (every exchange plan is
+/// eligible at this size) must be woken by event every time too.
+#[test]
+fn collective_mix_needs_no_fallback_wakes() {
+    let metrics = MetricsHandle::new();
+    let config = DcgnConfig::homogeneous(6, 1, 0, 0).with_metrics(metrics.clone());
+    let mut runtime = Runtime::new(config).unwrap();
+    runtime.set_request_timeout(Duration::from_secs(20));
+    runtime
+        .launch_cpu_only(|ctx| {
+            let half = ctx.comm_split((ctx.rank() % 2) as u32, 0).unwrap();
+            for i in 0..40usize {
+                if i % 10 == 0 {
+                    std::thread::sleep(Duration::from_millis(3));
+                }
+                let len = if i % 8 == 7 { 64 * 1024 } else { 8 * (i + 1) };
+                match i % 4 {
+                    0 => ctx.barrier_in(&half).unwrap(),
+                    1 => {
+                        let mut data = if ctx.rank() == 0 {
+                            vec![7u8; len]
+                        } else {
+                            Vec::new()
+                        };
+                        ctx.broadcast(0, &mut data).unwrap();
+                        assert_eq!(data, vec![7u8; len]);
+                    }
+                    2 => {
+                        let sum = ctx.allreduce(&[1.0; 4], ReduceOp::Sum).unwrap();
+                        assert_eq!(sum, vec![6.0; 4]);
+                    }
+                    _ => {
+                        let all = ctx.allgather(&vec![ctx.rank() as u8; len]).unwrap();
+                        assert_eq!(all.len(), 6);
+                    }
+                }
+            }
+        })
+        .unwrap();
+    assert_no_fallback_wakes(&metrics.snapshot(), 6);
+}
