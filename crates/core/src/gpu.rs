@@ -410,9 +410,9 @@ impl<'a> GpuCtx<'a> {
         let body_ptr = self.body_ptr(slot);
         let b = self.block;
         // Claim the mailbox.
-        while b.atomic_cas_u32(status_ptr, status::EMPTY, status::CLAIMED) != status::EMPTY {
-            b.nap();
-        }
+        b.wait_until(|| {
+            b.atomic_cas_u32(status_ptr, status::EMPTY, status::CLAIMED) == status::EMPTY
+        });
         // Fill the request body in one device-memory write (device-side, so
         // no PCI-e cost), clearing the result block.
         let mut body = [0u8; MAILBOX_BODY_BYTES];
@@ -560,15 +560,14 @@ impl<'a> GpuCtx<'a> {
         data: DevicePtr,
         len: usize,
     ) -> GpuRequest {
-        // Bound on fruitless claim passes (~50 µs nap each, so ~5 s — in
-        // line with the host's abandoned-request grace, so a slot whose
-        // records are legitimately held by slow concurrent blocks is not
-        // faulted prematurely).  All records staying unclaimable this long
-        // means their owners never harvest — typically this very kernel
-        // publishing past the configured per-slot depth of outstanding
-        // requests, which no host progress can ever unblock: fault, don't
-        // deadlock.
-        const CLAIM_NAP_LIMIT: u32 = 100_000;
+        // Bound on waiting for a free record (~5 s, in line with the host's
+        // abandoned-request grace, so a slot whose records are legitimately
+        // held by slow concurrent blocks is not faulted prematurely).  All
+        // records staying unclaimable this long means their owners never
+        // harvest — typically this very kernel publishing past the
+        // configured per-slot depth of outstanding requests, which no host
+        // progress can ever unblock: fault, don't deadlock.
+        const CLAIM_DEADLINE: Duration = Duration::from_secs(5);
 
         let b = self.block;
         let depth = self.layout.reqs_per_slot;
@@ -576,33 +575,35 @@ impl<'a> GpuCtx<'a> {
         // with all `reqs_per_slot` records in flight, publish waits until
         // one is harvested).  Each claim bumps the record's generation, so
         // handles from earlier claims go stale.
-        let mut naps = 0u32;
-        let (index, gen) = 'claim: loop {
+        let deadline = Instant::now() + CLAIM_DEADLINE;
+        let mut claimed = None;
+        b.wait_until(|| {
             for req in 0..depth {
                 let ptr = self.completion_ptr(slot, req);
                 let word = b.read_u32(ptr);
                 if word & 0b11 == req_state::FREE {
                     let gen = (word >> 2).wrapping_add(1) & REQ_GEN_MASK;
                     if b.atomic_cas_u32(ptr, word, req_word(gen, req_state::PENDING)) == word {
-                        break 'claim (req, gen);
+                        claimed = Some((req, gen));
+                        return true;
                     }
                 }
             }
-            naps += 1;
             assert!(
-                naps <= CLAIM_NAP_LIMIT,
+                Instant::now() < deadline,
                 "slot {slot} on device {}: all {depth} completion record(s) stayed in \
                  flight — did this kernel publish more than the configured mailbox \
                  depth ({depth}) of requests without test()/wait()ing any?",
                 b.device_id()
             );
-            b.nap();
-        };
+            false
+        });
+        let (index, gen) = claimed.expect("wait_until returns only after a claim");
         let status_ptr = self.status_ptr(slot);
         let body_ptr = self.body_ptr(slot);
-        while b.atomic_cas_u32(status_ptr, status::EMPTY, status::CLAIMED) != status::EMPTY {
-            b.nap();
-        }
+        b.wait_until(|| {
+            b.atomic_cas_u32(status_ptr, status::EMPTY, status::CLAIMED) == status::EMPTY
+        });
         let mut body = [0u8; MAILBOX_BODY_BYTES];
         body[BODY_OPCODE..BODY_OPCODE + 4].copy_from_slice(&op.to_le_bytes());
         body[BODY_PEER..BODY_PEER + 4].copy_from_slice(&peer.to_le_bytes());
@@ -700,29 +701,7 @@ impl<'a> GpuCtx<'a> {
     /// # Panics
     /// Panics on a mailbox error or a stale handle (see [`GpuCtx::test`]).
     pub fn wait(&self, req: GpuRequest) -> CommStatus {
-        let ptr = self.completion_ptr(req.slot, req.index);
-        // Same escalation as `BlockCtx::wait_for_u32` (yield first, decay to
-        // sleeping), but generation-checked so a stale handle faults instead
-        // of spinning forever.
-        const SPIN_YIELDS: u32 = 128;
-        let pending = req_word(req.gen, req_state::PENDING);
-        let mut polls = 0u32;
-        let mut sleep = Duration::from_micros(2);
-        loop {
-            let word = self.block.read_u32(ptr.add(COMP_STATE));
-            if word != pending {
-                self.check_fresh(req, word);
-                break;
-            }
-            polls += 1;
-            if polls <= SPIN_YIELDS {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(sleep);
-                sleep = (sleep * 2).min(Duration::from_micros(50));
-            }
-        }
-        self.harvest_completion(req, ptr)
+        self.waitany(std::slice::from_ref(&req)).1
     }
 
     /// Wait for every request, returning the completions in argument order —
@@ -734,9 +713,8 @@ impl<'a> GpuCtx<'a> {
 
     /// Wait until *one* of the requests completes; returns its index within
     /// `reqs` and its completion status (the other handles stay valid) —
-    /// the device-side mirror of `CpuCtx::waitany`.  Polls every request's
-    /// completion word device-side with the same yield-then-sleep
-    /// escalation as [`GpuCtx::wait`].
+    /// the device-side mirror of `CpuCtx::waitany`.  [`GpuCtx::test`]s every
+    /// request device-side inside one [`BlockCtx::wait_until`].
     ///
     /// # Panics
     /// Panics on an empty request list, a mailbox error, or a stale handle.
@@ -745,26 +723,17 @@ impl<'a> GpuCtx<'a> {
             !reqs.is_empty(),
             "dcgn::gpu::waitany needs at least one request handle"
         );
-        const SPIN_YIELDS: u32 = 128;
-        let mut polls = 0u32;
-        let mut sleep = Duration::from_micros(2);
-        loop {
-            for (i, &req) in reqs.iter().enumerate() {
-                let ptr = self.completion_ptr(req.slot, req.index);
-                let word = self.block.read_u32(ptr.add(COMP_STATE));
-                if word != req_word(req.gen, req_state::PENDING) {
-                    self.check_fresh(req, word);
-                    return (i, self.harvest_completion(req, ptr));
-                }
-            }
-            polls += 1;
-            if polls <= SPIN_YIELDS {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(sleep);
-                sleep = (sleep * 2).min(Duration::from_micros(50));
-            }
-        }
+        // `test` is generation-checked, so a stale handle faults instead of
+        // waiting forever.
+        let mut done = None;
+        self.block.wait_until(|| {
+            done = reqs
+                .iter()
+                .enumerate()
+                .find_map(|(i, &req)| Some((i, self.test(req)?)));
+            done.is_some()
+        });
+        done.expect("wait_until returns only once a request completed")
     }
 
     /// Fault on a completion word that no longer belongs to `req` (its

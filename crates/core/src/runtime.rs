@@ -14,6 +14,7 @@ use dcgn_dpm::{Device, Dim, DmaMetrics};
 use dcgn_metrics::MetricsSnapshot;
 use dcgn_netsim::Cluster;
 use dcgn_rmpi::{MpiWorld, RankPlacement};
+use dcgn_simtime::sleep::fine_timer_slack;
 
 use crate::comm_thread::CommThread;
 use crate::config::DcgnConfig;
@@ -174,6 +175,7 @@ impl Runtime {
                 std::thread::Builder::new()
                     .name(format!("dcgn-comm-node{node}"))
                     .spawn(move || {
+                        fine_timer_slack();
                         CommThread::new(
                             node,
                             rank_map,
@@ -214,6 +216,7 @@ impl Runtime {
                     std::thread::Builder::new()
                         .name(format!("dcgn-cpu-n{node}-k{cpu_index}"))
                         .spawn(move || -> Result<Option<GpuPollStats>> {
+                            fine_timer_slack();
                             kernel(&ctx);
                             Ok(None)
                         })
@@ -268,6 +271,7 @@ impl Runtime {
                     std::thread::Builder::new()
                         .name(format!("dcgn-gpu-n{node}-g{gpu_index}"))
                         .spawn(move || -> Result<Option<GpuPollStats>> {
+                            fine_timer_slack();
                             // Stage device memory on the GPU-kernel thread
                             // before the kernel launches (the CPU manages all
                             // GPU memory, as in CUDA).

@@ -327,3 +327,31 @@ fn eight_gpu_job_matches_paper_testbed_shape() {
         .unwrap();
     assert_eq!(sum.load(Ordering::SeqCst), (1..8).sum::<usize>());
 }
+
+#[cfg(target_os = "linux")]
+#[test]
+fn runtime_threads_run_on_fine_timer_slack() {
+    // Device-side waits and timed replies sleep for a few microseconds; on
+    // the default 50 µs timer slack each such sleep overshoots by ~50 µs.
+    // Every thread the runtime spawns lowers its slack to 1 ns first; the
+    // caller's own thread is left alone.
+    use dcgn_simtime::sleep::timer_slack_ns;
+    let caller_before = timer_slack_ns();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let (cpu_seen, gpu_seen) = (Arc::clone(&seen), Arc::clone(&seen));
+    let runtime = Runtime::new(DcgnConfig::homogeneous(1, 1, 1, 1)).unwrap();
+    runtime
+        .launch(
+            move |_ctx| cpu_seen.lock().push(("cpu rank", timer_slack_ns())),
+            move |_ctx| gpu_seen.lock().push(("gpu block", timer_slack_ns())),
+        )
+        .unwrap();
+    let mut seen = seen.lock().clone();
+    seen.sort();
+    assert_eq!(
+        seen,
+        vec![("cpu rank", Some(1)), ("gpu block", Some(1))],
+        "timer slack in ns read inside each kernel"
+    );
+    assert_eq!(timer_slack_ns(), caller_before, "caller thread touched");
+}

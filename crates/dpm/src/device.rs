@@ -9,6 +9,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use dcgn_metrics::Counter;
+use dcgn_simtime::sleep::fine_timer_slack;
 use dcgn_simtime::{CostModel, VirtualBus};
 
 use crate::kernel::{BlockCtx, Dim};
@@ -258,7 +259,10 @@ impl Device {
             threads.push(
                 std::thread::Builder::new()
                     .name(name)
-                    .spawn(move || Self::sm_worker(rx))
+                    .spawn(move || {
+                        fine_timer_slack();
+                        Self::sm_worker(rx)
+                    })
                     .expect("failed to spawn multiprocessor worker"),
             );
         }

@@ -105,9 +105,10 @@ impl BlockCtx {
     /// CUDA kernels in the paper (`__syncthreads()`).
     pub fn syncthreads(&self) {}
 
-    /// Briefly yield the multiprocessor.  Device-side spin loops (e.g. a
-    /// kernel waiting for the host to complete a communication request) call
-    /// this between polls so that the simulation stays live on small hosts.
+    /// Sleep the block's thread for a fixed 50 µs.  For kernels that poll
+    /// at their own pace between nonblocking `test()` calls; the runtime's
+    /// own device-side waits use [`BlockCtx::wait_until`], which returns
+    /// within microseconds of the awaited change instead of a nap later.
     pub fn nap(&self) {
         std::thread::sleep(Duration::from_micros(50));
     }
@@ -207,25 +208,37 @@ impl BlockCtx {
             .unwrap_or_else(|e| panic!("device fault in block {}: {e}", self.block_id))
     }
 
-    /// Spin until the `u32` at `ptr` equals `value`.
+    /// Spin until the `u32` at `ptr` equals `value` (a
+    /// [`BlockCtx::wait_until`] on that word).
+    pub fn wait_for_u32(&self, ptr: DevicePtr, value: u32) {
+        self.wait_until(|| self.read_u32(ptr) == value);
+    }
+
+    /// Spin until `pred` returns true: the one device-side wait.  `pred` is
+    /// tested first, then once after every back-off step, and may have side
+    /// effects (a claim loop passes "this compare-and-swap succeeded").
     ///
     /// A real device block busy-waits in silicon at memory speed; modelling
-    /// that with a fixed 50 µs host sleep quantised every mailbox completion
-    /// to the nap length.  Instead the wait starts by yielding the OS thread
-    /// (near-instant wakeups while the flag flips quickly) and only decays to
-    /// sleeping — escalating up to the nap interval — when the flag stays
-    /// unchanged, so long waits still leave the simulation host responsive.
-    pub fn wait_for_u32(&self, ptr: DevicePtr, value: u32) {
+    /// that with a fixed host sleep would quantise every mailbox hand-off to
+    /// the sleep length.  Instead the wait yields the OS thread for the
+    /// first 128 tests (near-instant wakeups while the host answers quickly)
+    /// and only then decays to sleeping, doubling from 2 µs up to 50 µs, so
+    /// long waits still leave the simulation host responsive.  The sleeps
+    /// are as short as asked only on threads that lowered their timer slack
+    /// ([`dcgn_simtime::sleep::fine_timer_slack`]), as every device
+    /// multiprocessor worker does.
+    pub fn wait_until(&self, mut pred: impl FnMut() -> bool) {
         const SPIN_YIELDS: u32 = 128;
+        const MAX_SLEEP: Duration = Duration::from_micros(50);
         let mut polls = 0u32;
         let mut sleep = Duration::from_micros(2);
-        while self.read_u32(ptr) != value {
+        while !pred() {
             polls += 1;
             if polls <= SPIN_YIELDS {
                 std::thread::yield_now();
             } else {
                 std::thread::sleep(sleep);
-                sleep = (sleep * 2).min(Duration::from_micros(50));
+                sleep = (sleep * 2).min(MAX_SLEEP);
             }
         }
     }
@@ -236,14 +249,90 @@ mod tests {
     use super::*;
 
     fn ctx(threads: usize) -> BlockCtx {
+        block_on(Arc::new(DeviceMemory::new(1 << 16)), 0, threads)
+    }
+
+    fn block_on(memory: Arc<DeviceMemory>, block_id: usize, threads: usize) -> BlockCtx {
         BlockCtx {
-            memory: Arc::new(DeviceMemory::new(1 << 16)),
-            block_id: 0,
-            grid_dim: Dim::d1(1),
+            memory,
+            block_id,
+            grid_dim: Dim::d1(block_id + 1),
             block_dim: Dim::d1(threads),
             device_id: 0,
             shared: Mutex::new(Vec::new()),
         }
+    }
+
+    #[test]
+    fn wait_until_on_a_true_predicate_tests_it_once() {
+        let c = ctx(1);
+        let mut tests = 0;
+        c.wait_until(|| {
+            tests += 1;
+            true
+        });
+        assert_eq!(tests, 1, "no back-off step may run before returning");
+    }
+
+    #[test]
+    fn wait_until_sees_a_host_flip_after_escalating_to_sleep() {
+        let c = ctx(1);
+        let flag = c.memory.malloc(4).unwrap();
+        let memory = Arc::clone(&c.memory);
+        let start = std::time::Instant::now();
+        let host = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            memory.write_u32(flag, 1).unwrap();
+        });
+        let mut tests = 0u32;
+        c.wait_until(|| {
+            tests += 1;
+            c.read_u32(flag) == 1
+        });
+        let waited = start.elapsed();
+        host.join().unwrap();
+        assert!(waited >= Duration::from_millis(20));
+        // 1 initial test + 128 after yields; anything beyond came after a
+        // sleep step ...
+        assert!(
+            tests > 129,
+            "wait never escalated to sleeping ({tests} tests)"
+        );
+        // ... and every sleep lasts at least as asked (2, 4, ..., 32, then
+        // 50 µs), so a wait that kept yielding would test far more often.
+        let max_tests = 129 + 5 + waited.as_micros() / 50 + 1;
+        assert!(
+            u128::from(tests) <= max_tests,
+            "{tests} tests in {waited:?}: the wait did not sleep"
+        );
+    }
+
+    #[test]
+    fn wait_until_cas_claim_admits_one_block_at_a_time() {
+        const CLAIMS: usize = 300;
+        let memory = Arc::new(DeviceMemory::new(1 << 16));
+        let word = memory.malloc(4).unwrap();
+        let holders = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let blocks: Vec<_> = (0..2)
+            .map(|id| {
+                let block = block_on(Arc::clone(&memory), id, 1);
+                let holders = Arc::clone(&holders);
+                std::thread::spawn(move || {
+                    for _ in 0..CLAIMS {
+                        block.wait_until(|| block.atomic_cas_u32(word, 0, 1) == 0);
+                        let inside = holders.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                        assert_eq!(inside, 0, "two blocks held the claim at once");
+                        std::thread::yield_now();
+                        holders.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+                        block.write_u32(word, 0);
+                    }
+                })
+            })
+            .collect();
+        for b in blocks {
+            b.join().unwrap();
+        }
+        assert_eq!(memory.read_u32(word).unwrap(), 0);
     }
 
     #[test]

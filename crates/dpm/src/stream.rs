@@ -83,7 +83,10 @@ impl Stream {
         let dev = Arc::clone(device);
         let engine = std::thread::Builder::new()
             .name(format!("dev{}-copy-engine", dev.id()))
-            .spawn(move || Self::engine_loop(dev, rx))
+            .spawn(move || {
+                dcgn_simtime::sleep::fine_timer_slack();
+                Self::engine_loop(dev, rx)
+            })
             .expect("failed to spawn copy engine");
         Stream {
             tx,

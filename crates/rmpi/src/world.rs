@@ -192,7 +192,10 @@ impl MpiWorld {
                 let f = Arc::clone(&f);
                 std::thread::Builder::new()
                     .name(format!("rmpi-rank{rank}"))
-                    .spawn(move || f(comm))
+                    .spawn(move || {
+                        dcgn_simtime::sleep::fine_timer_slack();
+                        f(comm)
+                    })
                     .expect("failed to spawn rank thread")
             })
             .collect();
